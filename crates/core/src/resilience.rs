@@ -103,8 +103,6 @@ pub struct ResilienceConfig {
     pub iteration_budget: Option<usize>,
     /// Seed of the deterministic step-fraction jitter used on retries.
     pub jitter_seed: u64,
-    /// Actually sleep the planned exponential backoff between retries.
-    pub sleep_backoff: bool,
     /// Deterministic fault injector (testing hook); the pipeline announces
     /// each stage to it, the supervisor each attempt.
     pub fault: Option<Arc<FaultInjector>>,
@@ -119,7 +117,6 @@ impl Default for ResilienceConfig {
             deadline: None,
             iteration_budget: None,
             jitter_seed: retry.jitter_seed,
-            sleep_backoff: retry.sleep,
             fault: None,
         }
     }
@@ -154,7 +151,6 @@ impl ResilienceConfig {
             retry: RetryPolicy {
                 max_retries: self.retries,
                 jitter_seed: self.jitter_seed,
-                sleep: self.sleep_backoff,
                 ..RetryPolicy::default()
             },
             solve_timeout: self.solve_timeout,

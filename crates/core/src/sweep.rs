@@ -757,7 +757,10 @@ pub type CellSolver<'a> = dyn Fn(usize, &CellProblem, Option<Vec<Option<SdpSolut
 /// only how they are computed).
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Worker threads for each wave (`0` = process default).
+    /// Worker threads for each wave (`0` = process default): cells solved
+    /// concurrently. Cells solved side by side run their SDP solves
+    /// single-threaded on the worker that took them (`cppll-par` runs one
+    /// level of fork/join).
     pub threads: usize,
     /// Per-solve supervision of every cell's pipeline run.
     pub resilience: ResilienceConfig,

@@ -79,9 +79,11 @@ impl Ldlt {
     /// Factors with the packed, parallel trailing update: panel columns are
     /// copied into a contiguous buffer once per panel and the trailing
     /// columns are distributed over `threads` workers (0 = process
-    /// default). Each trailing column is updated by exactly one worker with
-    /// the same per-entry operation sequence as [`Ldlt::new`], so the
-    /// result is bit-identical for every thread count.
+    /// default; always 1 inside a `cppll-par` region, see
+    /// [`cppll_par::resolve_threads`]). Each trailing column is updated by
+    /// exactly one worker with the same per-entry operation sequence as
+    /// [`Ldlt::new`], so the result is bit-identical for every thread
+    /// count.
     ///
     /// # Errors
     ///

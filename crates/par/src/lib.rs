@@ -23,16 +23,29 @@
 //! (tests comparing 1-thread and N-thread runs side by side) pass a
 //! resolved count instead of touching the global.
 //!
+//! # Nesting
+//!
+//! There is at most one level of fork/join. While an executor (the calling
+//! thread draining the queue, or a worker) runs a job, its thread is marked
+//! as inside a parallel region, and every entry point called from inside a
+//! region resolves to one thread and runs inline ([`resolve_threads`]
+//! returns 1). A sweep that fans cells out over two threads therefore
+//! solves each cell's SDP single-threaded on the executor that picked the
+//! cell up, instead of spawning a fresh OS thread for every kernel call of
+//! every interior-point iteration. The determinism contract makes this
+//! invisible in the results. The marker is restored by a drop guard, so a
+//! panic caught above a region never leaves a thread stuck in serial mode.
+//!
 //! # Spawn-failure degradation
 //!
 //! Work is split into index-determined chunks and pulled from a shared
 //! queue by up to `threads` executors: the calling thread plus scoped
 //! workers. A failed worker spawn (the OS can transiently refuse with
-//! `EAGAIN` under heavy nested fork/join churn) is never fatal — the
-//! calling thread always participates, so execution degrades toward serial
-//! instead of panicking. Which executor runs a chunk never affects the
-//! result: chunk boundaries and output placement are functions of the
-//! index alone.
+//! `EAGAIN`, for instance when other processes hold many threads) is never
+//! fatal — the calling thread always participates, so execution degrades
+//! toward serial instead of panicking. Which executor runs a chunk never
+//! affects the result: chunk boundaries and output placement are functions
+//! of the index alone.
 //!
 //! # Examples
 //!
@@ -42,6 +55,7 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide default worker count; 0 means "not yet resolved".
@@ -63,9 +77,35 @@ pub fn current_threads() -> usize {
     }
 }
 
-/// Resolves a call-site thread request: 0 means "use the process default".
+thread_local! {
+    /// Whether this thread is an executor of a running fork/join region.
+    static IN_REGION: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a region until dropped, then restores
+/// the previous marker — also when a job unwinds.
+struct RegionGuard(bool);
+
+impl RegionGuard {
+    fn enter() -> Self {
+        RegionGuard(IN_REGION.with(|r| r.replace(true)))
+    }
+}
+
+impl Drop for RegionGuard {
+    fn drop(&mut self) {
+        IN_REGION.with(|r| r.set(self.0));
+    }
+}
+
+/// Resolves a call-site thread request to the thread count a fork/join
+/// made here actually runs with: 1 inside a parallel region (see the
+/// module's "Nesting" section), otherwise `requested`, where 0 means "use
+/// the process default".
 pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
+    if IN_REGION.with(Cell::get) {
+        1
+    } else if requested == 0 {
         current_threads()
     } else {
         requested
@@ -76,11 +116,12 @@ pub fn resolve_threads(requested: usize) -> usize {
 const MIN_ITEMS_PER_FORK: usize = 2;
 
 /// Runs `jobs` on up to `executors` threads: the caller plus at most
-/// `executors - 1` scoped workers draining a shared queue. Each job is an
-/// index-determined chunk, so which executor runs it cannot affect the
-/// result. Worker spawns that the OS refuses are ignored — the caller
-/// always drains the queue, so the call completes (serially in the worst
-/// case) rather than panicking on a transient `EAGAIN`.
+/// `executors - 1` scoped workers draining a shared queue, each marked as
+/// inside a region while it drains. Each job is an index-determined chunk,
+/// so which executor runs it cannot affect the result. Worker spawns that
+/// the OS refuses are ignored — the caller always drains the queue, so the
+/// call completes (serially in the worst case) rather than panicking on a
+/// transient `EAGAIN`.
 ///
 /// Panics from `run` propagate: the calling thread re-raises directly, and
 /// [`std::thread::scope`] re-raises worker panics when the scope closes.
@@ -90,14 +131,17 @@ where
     F: Fn(J) + Sync,
 {
     let queue = std::sync::Mutex::new(jobs);
-    let drain = |queue: &std::sync::Mutex<Vec<J>>| loop {
-        let job = {
-            let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.pop()
-        };
-        match job {
-            Some(j) => run(j),
-            None => break,
+    let drain = |queue: &std::sync::Mutex<Vec<J>>| {
+        let _region = RegionGuard::enter();
+        loop {
+            let job = {
+                let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
+                q.pop()
+            };
+            match job {
+                Some(j) => run(j),
+                None => break,
+            }
         }
     };
     std::thread::scope(|scope| {
@@ -110,11 +154,11 @@ where
 
 /// Maps `f` over `0..n`, returning results in index order.
 ///
-/// `threads = 0` uses the process default ([`current_threads`]); `1` (or a
-/// small `n`) runs serially on the calling thread. The items are split into
-/// at most `threads` contiguous chunks, each computed by one scoped worker,
-/// and concatenated in chunk order — so the output is bit-identical for
-/// every thread count.
+/// `threads = 0` uses the process default ([`current_threads`]); `1`, a
+/// small `n` or a call from inside a parallel region runs serially on the
+/// calling thread. The items are split into at most `threads` contiguous
+/// chunks, each computed by one executor, and concatenated in chunk order —
+/// so the output is bit-identical for every thread count.
 pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -314,6 +358,48 @@ mod tests {
             chunk.fill(7);
         });
         assert_eq!(one, vec![7, 7, 7]);
+    }
+
+    fn in_region() -> bool {
+        IN_REGION.with(Cell::get)
+    }
+
+    #[test]
+    fn nested_map_runs_inline_on_the_outer_executor() {
+        let got = parallel_map(4, 2, |_| {
+            assert!(in_region());
+            assert_eq!(resolve_threads(2), 1);
+            let outer = std::thread::current().id();
+            let inner = parallel_map(8, 2, |_| std::thread::current().id());
+            (outer, inner)
+        });
+        for (outer, inner) in got {
+            assert_eq!(inner.len(), 8);
+            assert!(inner.iter().all(|id| *id == outer));
+        }
+    }
+
+    #[test]
+    fn region_marker_clears_after_the_outer_call() {
+        assert!(!in_region());
+        let mut items = vec![0u8; 6];
+        parallel_chunks_mut(&mut items, 2, |_, _| assert!(in_region()));
+        parallel_fill_chunks(&mut items, 2, 2, |_, _| assert!(in_region()));
+        let _ = parallel_map(4, 2, |i| i);
+        assert!(!in_region());
+        assert_eq!(resolve_threads(2), 2);
+    }
+
+    #[test]
+    fn region_marker_clears_after_a_caught_panic() {
+        // Every item panics, so the calling thread unwinds out of its own
+        // job as well as re-raising the worker's panic.
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map(4, 2, |i| -> usize { panic!("item {i}") })
+        });
+        assert!(caught.is_err());
+        assert!(!in_region());
+        assert_eq!(resolve_threads(2), 2);
     }
 
     #[test]

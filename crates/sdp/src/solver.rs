@@ -123,10 +123,12 @@ pub struct SolverOptions {
     pub fault: Option<Arc<FaultInjector>>,
     /// Worker threads for the parallel hot loops (block factorisations,
     /// Schur assembly, direction recovery, line search). `0` uses the
-    /// process-wide default ([`cppll_par::current_threads`]). Results are
-    /// bit-identical for every thread count: parallel work items are pure
-    /// functions of their index and all reductions run on the calling
-    /// thread in fixed index order.
+    /// process-wide default ([`cppll_par::current_threads`]). A solve
+    /// called from inside a `cppll-par` region (one sweep cell among
+    /// several) runs single-threaded; the `sdp_solve` span reports the
+    /// count that ran. Results are bit-identical for every thread count:
+    /// parallel work items are pure functions of their index and all
+    /// reductions run on the calling thread in fixed index order.
     pub threads: usize,
     /// Optional saved iterate to start from instead of the cold SDPA-style
     /// initial point. X/y/S (and the free variables) are copied from the

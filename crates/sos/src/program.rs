@@ -741,18 +741,6 @@ impl SosProgram {
                         let backoff = policy.planned_backoff_ms(attempt + 1);
                         record.planned_backoff_ms = backoff;
                         attempts.push(record);
-                        // The planned backoff counts against the pipeline
-                        // deadline: sleep only the time the deadline leaves,
-                        // and skip entirely once it has passed. The next
-                        // attempt then fails fast with DeadlineExceeded
-                        // instead of overshooting the budget in a sleep.
-                        let planned = std::time::Duration::from_millis(backoff);
-                        let capped = match res.deadline {
-                            Some(d) => d
-                                .saturating_duration_since(std::time::Instant::now())
-                                .min(planned),
-                            None => planned,
-                        };
                         if let Some(t) = &res.tracer {
                             t.counter("retry", 1);
                             if backoff > 0 {
@@ -761,14 +749,8 @@ impl SosProgram {
                             t.instant(
                                 TraceLevel::Solve,
                                 "backoff",
-                                vec![
-                                    ("planned_ms", backoff.into()),
-                                    ("clamped_ms", (capped.as_secs_f64() * 1e3).into()),
-                                ],
+                                vec![("planned_ms", backoff.into())],
                             );
-                        }
-                        if policy.sleep && !capped.is_zero() {
-                            std::thread::sleep(capped);
                         }
                     }
                     s => {

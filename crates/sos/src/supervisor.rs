@@ -13,9 +13,10 @@
 //! solve contains only quantities derived from the problem, the options,
 //! and the (seeded) jitter — no wall-clock readings. Two runs with the same
 //! seed and the same fault schedule produce byte-identical logs. Backoff is
-//! therefore *planned* (recorded in milliseconds) and only actually slept
-//! when [`RetryPolicy::sleep`] is set, which production callers may want
-//! and tests never do.
+//! therefore *planned*: recorded in milliseconds in the attempt log and on
+//! the `backoff` trace instant, and never slept. A retry re-solves a
+//! recompiled, re-regularised program deterministically, so waiting before
+//! it changes nothing but the wall-clock.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -43,12 +44,6 @@ pub struct RetryPolicy {
     pub backoff_factor: f64,
     /// Seed for the deterministic step-fraction jitter.
     pub jitter_seed: u64,
-    /// Actually sleep the planned backoff between attempts. Defaults to on
-    /// for production builds and off under `cfg(test)`, so unit tests stay
-    /// fast while deployed pipelines get real backpressure. The sleep is
-    /// always clamped to the remaining pipeline deadline — planned backoff
-    /// is counted against the budget, never allowed to overrun it.
-    pub sleep: bool,
 }
 
 impl Default for RetryPolicy {
@@ -60,7 +55,6 @@ impl Default for RetryPolicy {
             backoff_base_ms: 10,
             backoff_factor: 2.0,
             jitter_seed: 0x5eed_cafe,
-            sleep: cfg!(not(test)),
         }
     }
 }
@@ -174,7 +168,7 @@ pub struct ResilienceOptions {
     /// Optional trace sink: the supervisor wraps each supervised solve in
     /// an `sos_solve` span with one `attempt` span per attempt, counts
     /// `retry` / `warm_start_hit`, emits `backoff` instants with the
-    /// deadline-clamped sleep, and forwards the tracer to the SDP solver.
+    /// planned backoff, and forwards the tracer to the SDP solver.
     pub tracer: Option<Tracer>,
 }
 
@@ -369,8 +363,6 @@ mod tests {
         let p = RetryPolicy::default();
         assert_eq!(p.max_retries, 0);
         assert_eq!(p.planned_backoff_ms(0), 0);
-        // Under cfg(test) the default policy never sleeps its backoff.
-        assert!(!p.sleep);
     }
 
     #[test]

@@ -64,11 +64,11 @@ fn supervised_run(
     (ok, ledger.log_lines())
 }
 
-/// An expired pipeline deadline clamps the planned backoff sleep to zero:
-/// the retry must still happen (and be counted) immediately, without
-/// serving a multi-second sleep the budget no longer allows.
+/// Backoff is planned, never slept: with a 60 s planned backoff and an
+/// already expired pipeline deadline, the retry still happens (and is
+/// counted) immediately, and the plan is recorded in full.
 #[test]
-fn expired_deadline_clamps_backoff_sleep_to_zero_but_still_retries() {
+fn expired_deadline_still_retries_without_sleeping_the_planned_backoff() {
     use std::time::{Duration, Instant};
 
     let p = Polynomial::from_terms(
@@ -91,9 +91,6 @@ fn expired_deadline_clamps_backoff_sleep_to_zero_but_still_retries() {
                 max_retries: 1,
                 // A backoff the test would feel if it were actually slept.
                 backoff_base_ms: 60_000,
-                // Force the production sleep path (cfg(test) defaults it
-                // off); the clamp is what keeps this test fast.
-                sleep: true,
                 ..RetryPolicy::default()
             },
             // The deadline has already passed when the backoff is planned.
@@ -112,8 +109,7 @@ fn expired_deadline_clamps_backoff_sleep_to_zero_but_still_retries() {
     let _ = prog.solve(&options);
     assert!(
         started.elapsed() < Duration::from_secs(10),
-        "an expired deadline must clamp the 60s planned backoff to zero, \
-         took {:?}",
+        "the 60s planned backoff must not be slept, took {:?}",
         started.elapsed()
     );
 
@@ -124,14 +120,12 @@ fn expired_deadline_clamps_backoff_sleep_to_zero_but_still_retries() {
     assert_eq!(recorder.counter_total("retry"), 1);
     assert_eq!(recorder.counter_total("backoff"), 1);
 
-    // The backoff instant records the full plan and the zero clamp.
+    // The backoff instant records the full plan.
     let backoffs = recorder.instants_named("backoff");
     assert_eq!(backoffs.len(), 1);
     assert_eq!(backoffs[0].field_f64("planned_ms"), Some(60_000.0));
-    assert_eq!(backoffs[0].field_f64("clamped_ms"), Some(0.0));
 
-    // The attempt log still plans the full backoff — the clamp is a
-    // runtime budget decision, not a change to the deterministic plan.
+    // So does the attempt log.
     let log = ledger.log_lines();
     assert_eq!(log.len(), 2);
     assert!(
